@@ -1,9 +1,12 @@
 """Tests for multi-seed replication statistics and the scaling study."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.analysis.scaling import scaling_study
-from repro.analysis.stats import METRICS, compare, replicate
+from repro.analysis.stats import METRICS, compare, replicate, welch_ttest
 from repro.sim.config import SimConfig
 
 
@@ -82,6 +85,48 @@ class TestCompare:
             metric="accepted_load",
         )
         assert not c.significant(alpha=0.01)
+
+
+def _welch_grid():
+    """Seeded samples with unequal sizes and unequal variances, spanning
+    p-values from ~1 down to far below 1e-100."""
+    rng = np.random.default_rng(2012)
+    for _ in range(200):
+        na, nb = (int(n) for n in rng.integers(2, 40, size=2))
+        sa, sb = 10.0 ** rng.uniform(-3, 3, size=2)
+        shift = rng.normal() * 10.0 ** rng.uniform(-3, 2)
+        yield rng.normal(0.0, sa, na), rng.normal(shift, sb, nb)
+
+
+class TestWelch:
+    def test_matches_scipy(self):
+        sps = pytest.importorskip("scipy.stats")
+        for a, b in _welch_grid():
+            t, p = welch_ttest(a, b)
+            ref = sps.ttest_ind(a, b, equal_var=False)
+            assert t == pytest.approx(float(ref.statistic), rel=1e-9)
+            assert p == pytest.approx(float(ref.pvalue), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "a, b, t, p",
+        [
+            ([2.0, 2.0, 2.0], [2.0, 2.0, 2.0], math.nan, math.nan),
+            ([1.0, 1.0, 1.0], [2.0, 2.0, 2.0], -math.inf, 0.0),
+            ([2.0, 2.0, 2.0], [1.0, 1.0, 1.0, 1.0], math.inf, 0.0),
+            ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], 0.0, 1.0),
+            ([1.0, 1.0, 1.0], [1.0, 2.0, 3.0, 4.0], -2.32379000772445, 0.10272807885839899),
+        ],
+    )
+    def test_edge_cases(self, a, b, t, p):
+        """Expected values are what ``scipy.stats.ttest_ind(a, b,
+        equal_var=False)`` returns for the same inputs."""
+        got_t, got_p = welch_ttest(a, b)
+        assert got_t == pytest.approx(t, rel=1e-9, nan_ok=True)
+        assert got_p == pytest.approx(p, rel=1e-9, nan_ok=True)
+
+    def test_needs_two_values_per_sample(self):
+        with pytest.raises(ValueError):
+            welch_ttest([1.0], [1.0, 2.0])
 
 
 class TestScalingStudy:
