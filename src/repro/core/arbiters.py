@@ -36,16 +36,31 @@ class RoundRobinArbiter:
 
     def grant(self, requests: Iterable[int]) -> Optional[int]:
         """Grant one of ``requests`` (indices in ``[0, size)``); None when
-        no requests."""
-        req = set(requests)
+        no requests.  The winner is returned as the element of
+        ``requests`` it was given as (a :class:`~repro.sim.ports.Port`
+        stays a Port).  Raises ValueError for an out-of-range index.
+
+        The winner is the smallest index at or after the pointer, else the
+        smallest index overall (the scan wrapped around).  A set is used
+        as given, without a copy.
+        """
+        req = requests if type(requests) is set else set(requests)
         if not req:
             return None
-        for off in range(self.size):
-            idx = (self._ptr + off) % self.size
-            if idx in req:
-                self._ptr = (idx + 1) % self.size
-                return idx
-        return None  # pragma: no cover - unreachable with valid indices
+        size = self.size
+        lo = min(req)
+        hi = max(req)
+        if lo < 0 or hi >= size:
+            raise ValueError(
+                f"arbiter request index out of range [0, {size}): {sorted(req)}"
+            )
+        ptr = self._ptr
+        if lo >= ptr or hi < ptr:
+            idx = lo
+        else:
+            idx = min([i for i in req if i >= ptr])
+        self._ptr = idx + 1 if idx + 1 < size else 0
+        return idx
 
     def peek_pointer(self) -> int:
         return self._ptr

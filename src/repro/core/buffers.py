@@ -40,7 +40,7 @@ class FlitFIFO:
     def push(self, flit: Flit) -> None:
         """Append at the tail; overflow is a protocol violation (the sender
         must have checked for space or chosen the deflection fallback)."""
-        if self.full:
+        if len(self._q) >= self.depth:
             raise RuntimeError("FIFO overflow: flow-control protocol violated")
         self._q.append(flit)
 

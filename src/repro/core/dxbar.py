@@ -57,6 +57,20 @@ from .buffers import FlitFIFO
 from .fairness import FairnessCounter
 from .faults import RouterFault
 
+LOCAL = Port.LOCAL
+
+
+def _arrival_age(arrival: Tuple[Port, Flit]) -> Tuple[int, int, int]:
+    """Oldest-first order of ``(in_port, flit)`` arrivals."""
+    flit = arrival[1]
+    return (flit.injected_cycle, flit.packet_id, flit.flit_index)
+
+
+def _waiter_age(waiter: Tuple[str, Port, Flit]) -> Tuple[int, int, int]:
+    """Oldest-first order of ``(kind, in_port, flit)`` waiters."""
+    flit = waiter[2]
+    return (flit.injected_cycle, flit.packet_id, flit.flit_index)
+
 
 class DXbarRouter(BaseRouter):
     """Dual-crossbar router: bufferless primary + buffered secondary."""
@@ -68,6 +82,8 @@ class DXbarRouter(BaseRouter):
         depth = config.buffer_depth
         self.fifos = {port: FlitFIFO(depth) for port in mesh.ports_of(node)}
         self._fifo_list = list(self.fifos.values())
+        # Routing candidates toward each destination (this node's table row).
+        self._route = routing.row(node)
         self.fairness = FairnessCounter(config.fairness_threshold)
         # Fault state, assigned by the network from the FaultPlan.
         self.fault: Optional[RouterFault] = None
@@ -152,7 +168,21 @@ class DXbarRouter(BaseRouter):
         crosspoint fault has repeatedly deflected."""
         if self._escalate_on_deflections and flit.deflections >= 4:
             return self.network.adaptive_routing.candidates(self.node, flit.dst)
-        return self.routing.candidates(self.node, flit.dst)
+        return self._route[flit.dst]
+
+    def _plain_route(self):
+        """The routing row when :meth:`_pick_output` reduces to "first free
+        candidate" for every flit, else None.
+
+        That holds with no crosspoint fault to mask or attempt blindly and
+        no deflection escalation (whole-crossbar faults never reach
+        ``_pick_output``'s fault branch).  The serve loops then scan the
+        row inline instead of calling ``_pick_output`` per flit.
+        """
+        fault = self.fault
+        if self._escalate_on_deflections or (fault is not None and fault.is_crosspoint):
+            return None
+        return self._route
 
     def _deflect(
         self, flit: Flit, outputs_used: set, cycle: int, in_port: Optional[Port] = None
@@ -203,10 +233,7 @@ class DXbarRouter(BaseRouter):
     def _ordered_incoming(self) -> List[Tuple[Port, Flit]]:
         if len(self.incoming) <= 1:
             return self.incoming
-        return sorted(
-            self.incoming,
-            key=lambda pf: (pf[1].injected_cycle, pf[1].packet_id, pf[1].flit_index),
-        )
+        return sorted(self.incoming, key=_arrival_age)
 
     def _collect_waiters(self) -> List[Tuple[str, Port, Flit]]:
         """Snapshot the secondary-crossbar requesters: FIFO heads and the
@@ -214,15 +241,13 @@ class DXbarRouter(BaseRouter):
         absent — they become eligible next cycle."""
         waiters: List[Tuple[str, Port, Flit]] = []
         for port, fifo in self.fifos.items():
-            head = fifo.head()
-            if head is not None:
-                waiters.append(("fifo", port, head))
+            q = fifo._q
+            if q:
+                waiters.append(("fifo", port, q[0]))
         if self.inj_queue:
-            waiters.append(("inj", Port.LOCAL, self.inj_queue[0]))
+            waiters.append(("inj", LOCAL, self.inj_queue[0]))
         if len(waiters) > 1:
-            waiters.sort(
-                key=lambda w: (w[2].injected_cycle, w[2].packet_id, w[2].flit_index)
-            )
+            waiters.sort(key=_waiter_age)
         return waiters
 
     def _serve_waiters(
@@ -235,8 +260,16 @@ class DXbarRouter(BaseRouter):
         """Secondary-crossbar phase: move eligible buffered/injection flits."""
         won = False
         fault = self.fault
+        route = self._plain_route()
         for kind, in_port, flit in waiters:
-            out = self._pick_output(flit, outputs_used, in_port, "secondary")
+            if route is None:
+                out = self._pick_output(flit, outputs_used, in_port, "secondary")
+            else:
+                out = None
+                for cand in route[flit.dst]:
+                    if cand not in outputs_used:
+                        out = cand
+                        break
             if (
                 out is None
                 and fault is not None
@@ -287,21 +320,27 @@ class DXbarRouter(BaseRouter):
         """Primary-crossbar phase: switch incoming flits; losers are demuxed
         into their input FIFO (or deflected if the FIFO is full)."""
         won = False
+        route = self._plain_route()
+        trace = self.trace
         for in_port, flit in incoming:
-            out = (
-                self._pick_output(flit, outputs_used, in_port, "primary")
-                if primary_ok
-                else None
-            )
+            out = None
+            if primary_ok:
+                if route is None:
+                    out = self._pick_output(flit, outputs_used, in_port, "primary")
+                else:
+                    for cand in route[flit.dst]:
+                        if cand not in outputs_used:
+                            out = cand
+                            break
             if out is not None:
                 outputs_used.add(out)
                 self.energy.charge_xbar(flit)
                 self.counters.primary_traversals += 1
-                if self.trace is not None:
-                    self.trace.emit(
+                if trace is not None:
+                    trace.emit(
                         cycle, EV_ARB_WIN, self.node, flit, in_port=in_port.name
                     )
-                    self.trace.emit(
+                    trace.emit(
                         cycle,
                         EV_TRAVERSE_PRIMARY,
                         self.node,
@@ -311,26 +350,28 @@ class DXbarRouter(BaseRouter):
                     )
                 self.send(flit, out, cycle)
                 won = True
-            elif not self.fifos[in_port].full:
+                continue
+            fifo = self.fifos[in_port]
+            if len(fifo._q) < fifo.depth:
                 flit.buffered_events += 1
                 self.counters.buffered_events += 1
                 self.energy.charge_buffer(flit)
-                self.fifos[in_port].push(flit)
-                if self.trace is not None:
-                    self.trace.emit(
+                fifo.push(flit)
+                if trace is not None:
+                    trace.emit(
                         cycle, EV_ARB_LOSE, self.node, flit, in_port=in_port.name
                     )
-                    self.trace.emit(
+                    trace.emit(
                         cycle,
                         EV_BUFFER,
                         self.node,
                         flit,
                         in_port=in_port.name,
-                        occupancy=len(self.fifos[in_port]),
+                        occupancy=len(fifo),
                     )
             elif primary_ok:
-                if self.trace is not None:
-                    self.trace.emit(
+                if trace is not None:
+                    trace.emit(
                         cycle,
                         EV_ARB_LOSE,
                         self.node,
@@ -348,15 +389,15 @@ class DXbarRouter(BaseRouter):
                 flit.buffered_events += 1
                 self.counters.buffered_events += 1
                 self.energy.charge_buffer(flit)
-                self.fifos[in_port].force_push(flit)
-                if self.trace is not None:
-                    self.trace.emit(
+                fifo.force_push(flit)
+                if trace is not None:
+                    trace.emit(
                         cycle,
                         EV_BUFFER,
                         self.node,
                         flit,
                         in_port=in_port.name,
-                        occupancy=len(self.fifos[in_port]),
+                        occupancy=len(fifo),
                         overfill=True,
                     )
         return won

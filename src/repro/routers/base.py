@@ -32,6 +32,8 @@ from ..sim.topology import Mesh
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.network import Network
 
+LOCAL = Port.LOCAL
+
 
 class BaseRouter(ABC):
     """Common state and plumbing for all router designs."""
@@ -106,18 +108,28 @@ class BaseRouter(ABC):
     # per-cycle protocol
     # ------------------------------------------------------------------
     def latch(self, cycle: int) -> None:
-        """Phase 1: absorb credits and arriving flits."""
-        if self.uses_credits:
-            for port, chan in self.credit_in.items():
-                got = chan.collect()
-                if got:
-                    self.credits[port] += got
+        """Phase 1: absorb credits and arriving flits.
 
-        self.incoming.clear()
+        Reads the channel and link slots directly (the equivalent of
+        ``CreditChannel.collect`` and ``Link.take``): this runs for every
+        router with pending input, every cycle."""
+        if self.uses_credits:
+            credits = self.credits
+            for port, chan in self.credit_in.items():
+                got = chan._now
+                if got:
+                    chan._now = 0
+                    credits[port] += got
+
+        incoming = self.incoming
+        incoming.clear()
         for port, link in self.in_links.items():
-            flit = link.take()
+            regs = link._regs
+            flit = regs[-1]
             if flit is not None:
-                self.incoming.append((port, flit))
+                regs[-1] = None
+                link._count -= 1
+                incoming.append((port, flit))
 
     @abstractmethod
     def step(self, cycle: int) -> None:
@@ -147,7 +159,7 @@ class BaseRouter(ABC):
         """Drive ``flit`` through output ``port``: ejection for LOCAL, link
         traversal otherwise.  Crossbar energy is charged by the caller
         (designs differ in which crossbar the flit crossed)."""
-        if port == Port.LOCAL:
+        if port == LOCAL:
             assert flit.dst == self.node, "ejecting a flit at a foreign node"
             self.counters.ejected += 1
             if self.trace is not None:
@@ -157,26 +169,6 @@ class BaseRouter(ABC):
             flit.hops += 1
             self.energy.charge_link(flit)
             self.out_links[port].push(flit)
-
-    def has_credit(self, port: Port) -> bool:
-        """True when a flit may be sent toward ``port`` (LOCAL always may;
-        bufferless downstream designs never block)."""
-        if port == Port.LOCAL or not self.uses_credits:
-            return True
-        return self.credits[port] > 0
-
-    def consume_credit(self, port: Port) -> None:
-        if port != Port.LOCAL and self.uses_credits:
-            if self.credits[port] <= 0:
-                raise RuntimeError(
-                    f"router {self.node} sent to {port.name} without credit"
-                )
-            self.credits[port] -= 1
-
-    def return_credit(self, in_port: Port) -> None:
-        """Give one buffer slot back to the upstream router on ``in_port``."""
-        if in_port != Port.LOCAL and self.uses_credits:
-            self.credit_out[in_port].send(1)
 
     def mark_network_entry(self, flit: Flit, cycle: int) -> None:
         if flit.network_entry_cycle < 0:

@@ -24,7 +24,7 @@ baseline — DXbar's priority-demux arbitration is what the paper is selling.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.arbiters import RoundRobinArbiter
 from ..core.buffers import FlitFIFO
@@ -37,10 +37,20 @@ from .base import BaseRouter
 #: (the RC stage of the 3-stage baseline pipeline).
 BASELINE_RC_DELAY = 1
 
+LOCAL = Port.LOCAL
+
+
+def _request_age(req: Tuple[Flit, Port, Optional[FlitFIFO]]) -> Tuple[int, int, int]:
+    """Oldest-first order of SA requesters (packet age, id, flit index)."""
+    flit = req[0]
+    return (flit.injected_cycle, flit.packet_id, flit.flit_index)
+
 
 class BufferedRouter(BaseRouter):
     """Input-buffered router with ``fifos_per_input`` serial FIFOs."""
 
+    #: ``step`` runs credit flow control inline (the class is a credit
+    #: design by definition): no send without a downstream slot.
     uses_credits = True
     fifos_per_input = 1
 
@@ -51,6 +61,10 @@ class BufferedRouter(BaseRouter):
             port: [FlitFIFO(depth) for _ in range(self.fifos_per_input)]
             for port in mesh.ports_of(node)
         }
+        # Hot-path views: every (input port, bank) pair in requester-scan
+        # order, and the DOR output toward each destination.
+        self._banks = [(port, bank) for port, banks in self.fifos.items() for bank in banks]
+        self._route_first = tuple(cands[0] for cands in routing.row(node))
         # Separable allocator state: one arbiter per output over the five
         # input ports, one per input over the five output ports.
         self._output_arbs = {p: RoundRobinArbiter(NUM_PORTS) for p in Port}
@@ -60,17 +74,26 @@ class BufferedRouter(BaseRouter):
         return self.config.buffer_depth * self.fifos_per_input
 
     # ------------------------------------------------------------------
-    def _accept_incoming(self, cycle: int) -> None:
-        """BW stage: write arriving flits into the input FIFOs."""
-        for in_port, flit in self.incoming:
+    def step(self, cycle: int) -> None:
+        incoming = self.incoming
+        inj = self.inj_queue
+        # Fast path: nothing arrived, nothing queued anywhere.
+        if not incoming and not inj and not self._any_occupancy():
+            return
+        energy = self.energy
+        trace = self.trace
+        ready = cycle + BASELINE_RC_DELAY
+
+        # --- BW: write arriving flits into the input FIFOs ----------------
+        for in_port, flit in incoming:
             banks = self.fifos[in_port]
             # Steer to the emptier bank (single-bank designs have one).
             bank = min(banks, key=len)
-            flit.ready_cycle = cycle + BASELINE_RC_DELAY
-            self.energy.charge_buffer(flit)
+            flit.ready_cycle = ready
+            energy.charge_buffer(flit)
             bank.push(flit)
-            if self.trace is not None:
-                self.trace.emit(
+            if trace is not None:
+                trace.emit(
                     cycle,
                     EV_BUFFER,
                     self.node,
@@ -79,34 +102,22 @@ class BufferedRouter(BaseRouter):
                     occupancy=len(bank),
                 )
 
-    def _requesters(self, cycle: int) -> List[Tuple[Flit, Port, Optional[FlitFIFO]]]:
-        """Collect SA requesters: every eligible FIFO head plus the source
-        queue head.  Returns (flit, input port, fifo-or-None)."""
+        # --- SA requesters: eligible FIFO heads, then the source queue ----
         reqs: List[Tuple[Flit, Port, Optional[FlitFIFO]]] = []
-        for in_port, banks in self.fifos.items():
-            for bank in banks:
-                head = bank.head()
-                if head is not None and head.ready_cycle <= cycle:
-                    reqs.append((head, in_port, bank))
-        if self.inj_queue:
-            head = self.inj_queue[0]
+        for in_port, bank in self._banks:
+            q = bank._q
+            if q and q[0].ready_cycle <= cycle:
+                reqs.append((q[0], in_port, bank))
+        if inj:
+            head = inj[0]
             # The local input is buffered too in the baseline: model the BW
             # energy at injection time and the RC delay relative to when the
             # flit reached the head of the source queue.
             if head.ready_cycle == 0:
-                head.ready_cycle = cycle + BASELINE_RC_DELAY
-                self.energy.charge_buffer(head)
+                head.ready_cycle = ready
+                energy.charge_buffer(head)
             if head.ready_cycle <= cycle:
-                reqs.append((head, Port.LOCAL, None))
-        return reqs
-
-    def step(self, cycle: int) -> None:
-        # Fast path: nothing arrived, nothing queued anywhere.
-        if not self.incoming and not self.inj_queue and not self._any_occupancy():
-            return
-        self._accept_incoming(cycle)
-
-        reqs = self._requesters(cycle)
+                reqs.append((head, LOCAL, None))
         if not reqs:
             return
 
@@ -114,13 +125,17 @@ class BufferedRouter(BaseRouter):
         # request[(in_port, out_port)] -> (flit, bank); Buffered-8 presents
         # both FIFO heads so different banks of one input may request
         # different outputs (HoL relief), but never the same output twice
-        # per input (the older head wins the nomination).
+        # per input (the older head wins the nomination).  An output with
+        # no downstream credit takes no requests.
+        if len(reqs) > 1:
+            reqs.sort(key=_request_age)
+        route_first = self._route_first
+        credits = self.credits
         request: Dict[Tuple[Port, Port], Tuple[Flit, Optional[FlitFIFO]]] = {}
-        per_output: Dict[Port, set] = {}
-        reqs.sort(key=lambda r: (r[0].injected_cycle, r[0].packet_id, r[0].flit_index))
+        per_output: Dict[Port, Set[Port]] = {}
         for flit, in_port, bank in reqs:
-            out = self.routing.first(self.node, flit.dst)
-            if not self.has_credit(out):
+            out = route_first[flit.dst]
+            if out is not LOCAL and credits[out] <= 0:
                 continue
             key = (in_port, out)
             if key in request:
@@ -128,34 +143,40 @@ class BufferedRouter(BaseRouter):
             request[key] = (flit, bank)
             per_output.setdefault(out, set()).add(in_port)
 
-        granted: Dict[Port, List[Port]] = {}
+        granted: Dict[Port, Set[Port]] = {}
+        output_arbs = self._output_arbs
         for out, inputs in per_output.items():
-            winner = self._output_arbs[out].grant(int(p) for p in inputs)
-            if winner is not None:
-                granted.setdefault(Port(winner), []).append(out)
+            winner = output_arbs[out].grant(inputs)
+            granted.setdefault(winner, set()).add(out)
 
         # --- stage 2: per-input V:1 round-robin selection ----------------
+        input_arbs = self._input_arbs
+        credit_out = self.credit_out
+        counters = self.counters
         for in_port, outs in granted.items():
-            pick = self._input_arbs[in_port].grant(int(o) for o in outs)
-            if pick is None:
-                continue
-            out = Port(pick)
+            out = input_arbs[in_port].grant(outs)
             flit, bank = request[(in_port, out)]
             if bank is not None:
                 popped = bank.pop()
                 assert popped is flit, "granted flit is no longer the head"
-                self.return_credit(in_port)
+                # The freed slot's credit goes back upstream.
+                credit_out[in_port].send(1)
             else:
-                self.inj_queue.popleft()
+                inj.popleft()
                 self.mark_network_entry(flit, cycle)
-            self.consume_credit(out)
-            self.energy.charge_xbar(flit)
-            self.counters.primary_traversals += 1
-            if self.trace is not None:
-                self.trace.emit(
+            if out is not LOCAL:
+                if credits[out] <= 0:
+                    raise RuntimeError(
+                        f"router {self.node} sent to {out.name} without credit"
+                    )
+                credits[out] -= 1
+            energy.charge_xbar(flit)
+            counters.primary_traversals += 1
+            if trace is not None:
+                trace.emit(
                     cycle, EV_ARB_WIN, self.node, flit, in_port=in_port.name
                 )
-                self.trace.emit(
+                trace.emit(
                     cycle,
                     EV_TRAVERSE_PRIMARY,
                     self.node,
@@ -166,10 +187,9 @@ class BufferedRouter(BaseRouter):
             self.send(flit, out, cycle)
 
     def _any_occupancy(self) -> bool:
-        for banks in self.fifos.values():
-            for bank in banks:
-                if len(bank):
-                    return True
+        for _, bank in self._banks:
+            if bank._q:
+                return True
         return False
 
     def is_idle(self) -> bool:

@@ -58,3 +58,9 @@ class RoutingFunction(ABC):
     def first(self, cur: int, dst: int) -> Port:
         """The most-preferred port (what a deterministic router would use)."""
         return self._table[cur * self.mesh.num_nodes + dst][0]
+
+    def row(self, cur: int) -> Tuple[Tuple[Port, ...], ...]:
+        """Every destination's candidates from ``cur``, indexed by ``dst``
+        (a router caches its own row so its hot loop skips the call)."""
+        n = self.mesh.num_nodes
+        return tuple(self._table[cur * n:(cur + 1) * n])

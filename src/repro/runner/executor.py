@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import importlib
 import os
+import threading
 import time
 import warnings
 from concurrent.futures import (
@@ -185,8 +186,30 @@ def execute_spec(
 # worker-side entry points (must be module-level for pickling)
 # ----------------------------------------------------------------------
 def _init_worker(plugins: Tuple[str, ...]) -> None:
+    _exit_with_parent(os.getppid())
     for module in plugins:
         importlib.import_module(module)
+
+
+#: Seconds between a pool worker's checks that its driver is still alive.
+_PARENT_POLL_S = 0.5
+
+
+def _exit_with_parent(parent: int) -> None:
+    """End this worker once the driver process ``parent`` is gone.
+
+    A driver killed with SIGKILL runs no cleanup, so its pool workers are
+    re-parented and would otherwise live on, still holding the driver's
+    stdout open.  A daemon thread polls the parent pid and leaves through
+    ``os._exit`` (the way pool workers always leave) when it changes.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
 
 
 #: Per-process journal shard writers, keyed by journal directory.  A pool

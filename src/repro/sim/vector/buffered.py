@@ -204,7 +204,7 @@ class VectorBufferedNetwork(VectorNetwork):
             self.fifo_buf[fl, self.fifo_head[fl]] = -1
             self.fifo_head[fl] = (self.fifo_head[fl] + 1) % self.depth
             self.fifo_len[fl] -= 1
-            self.chan_now[fl] += 1  # return_credit
+            self.chan_now[fl] += 1  # the freed slot's credit goes upstream
         from_inj = ~from_fifo
         if from_inj.any():
             pop_nodes = win_node[from_inj].tolist()

@@ -1,10 +1,13 @@
 """Unit and property tests for the arbiters."""
 
+from itertools import combinations, product
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.arbiters import MatrixArbiter, RoundRobinArbiter, oldest_first
 from repro.sim.flit import Flit
+from repro.sim.ports import Port
 
 
 class TestRoundRobin:
@@ -43,6 +46,68 @@ class TestRoundRobin:
         for req in rounds:
             got = arb.grant(req)
             assert got in req
+
+
+def _reference_grant(ptr, size, req):
+    """The textbook rotating-priority scan: (winner, next pointer)."""
+    for off in range(size):
+        idx = (ptr + off) % size
+        if idx in req:
+            return idx, (idx + 1) % size
+    return None, ptr
+
+
+#: Every non-empty request subset of a 5-way arbiter.
+SUBSETS = [set(c) for r in range(1, 6) for c in combinations(range(5), r)]
+
+
+class TestRoundRobinEquivalence:
+    """``grant`` against the reference scan, exhaustively for P = 5."""
+
+    @staticmethod
+    def _at(ptr):
+        arb = RoundRobinArbiter(5)
+        arb.load_state_dict({"ptr": ptr})
+        return arb
+
+    def test_every_pointer_and_subset(self):
+        for ptr, req in product(range(5), SUBSETS):
+            want, next_ptr = _reference_grant(ptr, 5, req)
+            for given_as in (set(req), sorted(req), iter(sorted(req, reverse=True))):
+                arb = self._at(ptr)
+                assert arb.grant(given_as) == want, (ptr, req)
+                assert arb.peek_pointer() == next_ptr, (ptr, req)
+
+    def test_every_two_grant_sequence(self):
+        for ptr, first, second in product(range(5), SUBSETS, SUBSETS):
+            arb = self._at(ptr)
+            ref_ptr = ptr
+            for req in (first, second):
+                want, ref_ptr = _reference_grant(ref_ptr, 5, req)
+                assert arb.grant(req) == want
+                assert arb.peek_pointer() == ref_ptr
+
+    @given(st.integers(0, 4), st.lists(st.sets(st.integers(0, 4)), max_size=60))
+    def test_long_sequences(self, ptr, rounds):
+        arb = self._at(ptr)
+        ref_ptr = ptr
+        for req in rounds:
+            want, ref_ptr = _reference_grant(ref_ptr, 5, req)
+            assert arb.grant(req) == want
+            assert arb.peek_pointer() == ref_ptr
+
+    def test_ports_in_ports_out(self):
+        arb = self._at(2)
+        got = arb.grant({Port.NORTH, Port.WEST})
+        assert got is Port.WEST
+        assert arb.peek_pointer() == 4 and type(arb.peek_pointer()) is int
+
+    @pytest.mark.parametrize("req", [{7}, {5}, {-1}, [0, 5], {1, 2, 9}])
+    def test_out_of_range_raises(self, req):
+        arb = self._at(3)
+        with pytest.raises(ValueError):
+            arb.grant(req)
+        assert arb.peek_pointer() == 3
 
 
 class TestMatrixArbiter:

@@ -7,8 +7,17 @@ The failure modes are injected through the workload kinds registered in
 worker processes via ``plugins=``)."""
 
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
+
+import repro
 
 import tests.exec_plugins  # noqa: F401  (registers the misbehaving kinds)
 from repro.checkpoint import latest_checkpoint, list_checkpoints
@@ -248,3 +257,61 @@ class TestCacheQuarantine:
             cache.get(spec)
         cache.clear()
         assert list(tmp_path.glob("*.corrupt"))  # evidence survives clear()
+
+
+def _alive(pid: int) -> bool:
+    """True while ``pid`` runs; a zombie has exited (only the reap is
+    pending)."""
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except OSError:
+        return False
+    state = re.search(r"^State:\s*(\S)", status, re.M)
+    return state is not None and state.group(1) != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+class TestOrphanedWorkers:
+    def test_workers_exit_when_driver_is_killed(self, tmp_path):
+        """``kill -9`` of a ``--jobs 2`` driver also ends its pool
+        workers, which would otherwise run on, re-parented."""
+        root = tmp_path / "sat"
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        driver = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "saturate", "--root", str(root),
+                "--design", "dxbar_dor", "buffered4", "-k", "8",
+                "--warmup", "200", "--measure", "20000", "--drain", "500",
+                "--jobs", "2", "--quiet",
+            ],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+        try:
+            workers = set()
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and time.monotonic() < deadline:
+                assert driver.poll() is None, "driver finished before the kill"
+                workers = {
+                    int(m.group(1))
+                    for f in (root / "journal").glob("worker-*.jsonl")
+                    if (m := re.fullmatch(r"worker-(\d+)\.jsonl", f.name))
+                }
+                time.sleep(0.1)
+            assert len(workers) == 2, f"saw worker shards {sorted(workers)}"
+            assert all(_alive(pid) for pid in workers)
+
+            driver.send_signal(signal.SIGKILL)
+            driver.wait(timeout=30)
+            deadline = time.monotonic() + 10
+            while any(_alive(pid) for pid in workers) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not [pid for pid in workers if _alive(pid)]
+        finally:
+            try:
+                os.killpg(driver.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            driver.wait(timeout=30)
